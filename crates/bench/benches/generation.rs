@@ -1,6 +1,7 @@
 //! Benchmarks state-space generation: MD construction from the Kronecker
-//! expression and explicit reachability exploration into the MDD — the
-//! "gen time" column of Table 1.
+//! expression and symbolic reachability (the image fixpoint of
+//! `mdl_mdd::Mdd::reachable`) into the MDD — the "gen time" column of
+//! Table 1.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 

@@ -95,3 +95,37 @@ fn ring_ordinary_lumping_respects_the_reward() {
         );
     }
 }
+
+#[test]
+fn model_build_emits_stage_spans() {
+    let parsed = load("worker_pool.mdl");
+    let _guard = mdl_obs::testing::guard();
+    mdl_obs::reset();
+    mdl_obs::set_enabled(true);
+    let sub = std::sync::Arc::new(mdl_obs::MemorySubscriber::new());
+    mdl_obs::add_subscriber(sub.clone());
+    parsed.build().expect("builds");
+    mdl_obs::clear_subscribers();
+    let report = mdl_obs::snapshot();
+    mdl_obs::set_enabled(false);
+    assert!(
+        report.counters.iter().any(|c| c.name == "mdd.image.miss"),
+        "image cache counted"
+    );
+
+    let events = sub.take();
+    for name in ["build.reach", "build.md", "build.mrp"] {
+        assert!(
+            events
+                .iter()
+                .any(|e| e.kind == mdl_obs::EventKind::SpanEnd && e.name == name),
+            "no {name} span"
+        );
+    }
+    let reach = events
+        .iter()
+        .find(|e| e.kind == mdl_obs::EventKind::SpanEnd && e.name == "build.reach")
+        .unwrap();
+    let field = |key| reach.fields.iter().find(|(k, _)| *k == key).map(|(_, v)| v);
+    assert!(field("iterations").is_some() && field("nodes").is_some());
+}

@@ -143,8 +143,8 @@ impl Pipeline {
     }
 
     /// **Stage: build.** Produces the symbolic MRP for the model, either
-    /// from four cached artifacts (MD, reachability MDD, reward and
-    /// initial vectors) or by running `builder` and persisting its parts.
+    /// from its cached [`MrpArtifact`] (MD, reachability MDD, reward and
+    /// initial vectors) or by running `builder` and persisting it.
     ///
     /// Vectors with a [`Combiner::Custom`] cannot be serialized, so an
     /// MRP containing one is returned uncached (and un-persisted) rather
@@ -194,8 +194,8 @@ impl Pipeline {
     /// **Stage: lump.** Runs (or restores) a compositional lump of the
     /// input MRP. The key hashes the input's key and every
     /// result-relevant request field ([`LumpRequest::write_cache_key`]);
-    /// the cached form is the lumped MRP's four artifacts plus the
-    /// per-level partitions and a [`LumpStats`] record.
+    /// the cached form is one [`LumpArtifact`]: the lumped MRP, the
+    /// per-level partitions and the [`LumpStats`] record.
     ///
     /// # Errors
     ///
@@ -215,17 +215,19 @@ impl Pipeline {
             });
         }
         let result = request.run(&input.value)?;
-        self.persist_mrp(key, &result.mrp)?;
-        for (level, partition) in result.partitions.iter().enumerate() {
-            self.persist(sub_key(key, &format!("part{level}")), partition)?;
+        if let Some(mrp) = self.mrp_artifact(&result.mrp) {
+            self.persist(
+                key,
+                &LumpArtifact {
+                    mrp,
+                    partitions: result.partitions.clone(),
+                    meta: LumpMeta {
+                        stats: result.stats.clone(),
+                        exact_exit_rates: result.exact_exit_rates.clone(),
+                    },
+                },
+            )?;
         }
-        self.persist(
-            key,
-            &LumpMeta {
-                stats: result.stats.clone(),
-                exact_exit_rates: result.exact_exit_rates.clone(),
-            },
-        )?;
         record_memory(&result.mrp, "lump.md.memory_bytes", "lump.mdd.memory_bytes");
         span.record("cache", "miss");
         span.finish();
@@ -244,9 +246,9 @@ impl Pipeline {
     /// Restore prefers the mapped kernel image ([`Store::map`], slabs
     /// borrowed zero-copy from a shared `mmap(2)` region), then falls
     /// back to copy-decoding the image, then to the classic
-    /// [`CompiledParts`] artifact — so concurrent workers and repeat runs
-    /// share one physical mapping while older stores keep working. A
-    /// compute persists both forms.
+    /// [`CompiledParts`] artifact that older stores hold — so concurrent
+    /// workers and repeat runs share one physical mapping. A compute
+    /// persists the image only.
     ///
     /// # Errors
     ///
@@ -278,9 +280,7 @@ impl Pipeline {
             }
         }
         let compiled = CompiledMdMatrix::compile_budgeted(input.value.matrix(), threads, budget)?;
-        let parts = compiled.to_parts();
-        self.persist(key, &parts)?;
-        self.persist(key, &KernelImage(parts))?;
+        self.persist(key, &KernelImage(compiled.to_parts()))?;
         span.record("cache", "miss");
         span.finish();
         Ok(Staged {
@@ -316,9 +316,8 @@ impl Pipeline {
 
     /// **Stage: solve.** Executes (or restores) a solve. A cache hit
     /// returns the stored outcome *and* the stored [`RunReport`] of the
-    /// run that produced it; both must be present, else the stage
-    /// recomputes. Only successful outcomes are cached — failures are
-    /// re-attempted on the next run.
+    /// run that produced it (one [`SolveArtifact`]). Only successful
+    /// outcomes are cached — failures are re-attempted on the next run.
     pub fn solve(
         &self,
         input: &Staged<MdMrp>,
@@ -348,13 +347,9 @@ impl Pipeline {
                 return (Err(e), report);
             }
         };
-        let saved = (|| {
-            match &outcome {
-                SolveOutcome::Distribution(sol) => self.persist(key, sol)?,
-                SolveOutcome::Value(v) => self.persist(key, &vec![*v])?,
-            }
-            self.persist(key, &report)
-        })();
+        let artifact = SolveArtifact { outcome, report };
+        let saved = self.persist(key, &artifact);
+        let SolveArtifact { outcome, report } = artifact;
         span.record("cache", "miss");
         span.finish();
         if let Err(e) = saved {
@@ -476,52 +471,38 @@ impl Pipeline {
         Ok(())
     }
 
-    /// Restores an MRP from its four artifacts under `key`, or `None` on
-    /// any miss. Artifacts that load individually but fail joint
-    /// validation (e.g. a vector whose shape no longer matches the MD)
-    /// count as invalid and miss.
+    /// Restores an MRP from its [`MrpArtifact`] under `key`, or `None`
+    /// on a miss.
     fn fetch_mrp(&self, key: u64) -> Option<MdMrp> {
-        let md = self.fetch::<Md>(key)?;
-        let reach = self.fetch::<Mdd>(key)?;
-        let reward = self.fetch::<DecomposableVector>(sub_key(key, "reward"))?;
-        let initial = self.fetch::<DecomposableVector>(sub_key(key, "initial"))?;
-        let assembled = MdMatrix::new(md, reach)
-            .map_err(crate::CoreError::from)
-            .and_then(|matrix| MdMrp::new(matrix, reward, initial));
-        match assembled {
-            Ok(mrp) => Some(mrp),
-            Err(_) => {
-                mdl_obs::counter("store.invalid").inc();
-                None
-            }
+        self.fetch::<MrpArtifact>(key)?.into_mrp()
+    }
+
+    /// Persists an MRP as one [`MrpArtifact`] under `key`. MRPs holding
+    /// a [`Combiner::Custom`] vector are silently skipped (the closure is
+    /// not serializable), leaving the stage permanently un-cached.
+    fn persist_mrp(&self, key: u64, mrp: &MdMrp) -> Result<()> {
+        match self.mrp_artifact(mrp) {
+            Some(artifact) => self.persist(key, &artifact),
+            None => Ok(()),
         }
     }
 
-    /// Persists an MRP as its four artifacts under `key`. MRPs holding a
-    /// [`Combiner::Custom`] vector are silently skipped (the closure is
-    /// not serializable), leaving the stage permanently un-cached.
-    fn persist_mrp(&self, key: u64, mrp: &MdMrp) -> Result<()> {
-        let serializable = |v: &DecomposableVector| !matches!(v.combiner(), Combiner::Custom(_));
-        if !serializable(mrp.reward()) || !serializable(mrp.initial()) {
-            return Ok(());
-        }
-        self.persist(key, mrp.matrix().md())?;
-        self.persist(key, mrp.matrix().reach())?;
-        self.persist(sub_key(key, "reward"), mrp.reward())?;
-        self.persist(sub_key(key, "initial"), mrp.initial())?;
-        Ok(())
+    /// The [`MrpArtifact`] to persist for `mrp`: `None` without a store
+    /// (nothing to persist, so nothing is copied) or when `mrp` is not
+    /// serializable.
+    fn mrp_artifact(&self, mrp: &MdMrp) -> Option<MrpArtifact> {
+        self.store.as_ref().and_then(|_| MrpArtifact::of(mrp))
     }
 
     /// Restores a full [`LumpResult`] under `key`, or `None` on any miss.
     fn fetch_lump(&self, key: u64) -> Option<LumpResult> {
-        let meta = self.fetch::<LumpMeta>(key)?;
-        let mrp = self.fetch_mrp(key)?;
-        let mut partitions = Vec::with_capacity(meta.stats.per_level.len());
-        for level in 0..meta.stats.per_level.len() {
-            partitions.push(self.fetch::<Partition>(sub_key(key, &format!("part{level}")))?);
-        }
-        Some(LumpResult {
+        let LumpArtifact {
             mrp,
+            partitions,
+            meta,
+        } = self.fetch::<LumpArtifact>(key)?;
+        Some(LumpResult {
+            mrp: mrp.into_mrp()?,
             partitions,
             stats: meta.stats,
             exact_exit_rates: meta.exact_exit_rates,
@@ -532,22 +513,22 @@ impl Pipeline {
     }
 
     /// Restores a solve outcome and its report under `key`, or `None` on
-    /// any miss.
+    /// any miss. An outcome of the wrong shape for `target` counts as
+    /// invalid and misses.
     fn fetch_solve(&self, key: u64, target: SolveTarget) -> Option<(SolveOutcome, RunReport)> {
-        let outcome = match target {
-            SolveTarget::AccumulatedReward(_) => {
-                let v = self.fetch::<Vec<f64>>(key)?;
-                if v.len() != 1 {
-                    mdl_obs::counter("store.invalid").inc();
-                    return None;
-                }
-                SolveOutcome::Value(v[0])
-            }
-            SolveTarget::Stationary | SolveTarget::Transient(_) => {
-                SolveOutcome::Distribution(self.fetch::<Solution>(key)?)
-            }
-        };
-        let report = self.fetch::<RunReport>(key)?;
+        let SolveArtifact { outcome, report } = self.fetch::<SolveArtifact>(key)?;
+        let fits = matches!(
+            (&outcome, target),
+            (SolveOutcome::Value(_), SolveTarget::AccumulatedReward(_))
+                | (
+                    SolveOutcome::Distribution(_),
+                    SolveTarget::Stationary | SolveTarget::Transient(_)
+                )
+        );
+        if !fits {
+            mdl_obs::counter("store.invalid").inc();
+            return None;
+        }
         Some((outcome, report))
     }
 }
@@ -575,16 +556,6 @@ pub(crate) fn stage_key(stage: &str, upstream: u64, extra: impl FnOnce(&mut Fnv1
     h.write_str(stage);
     h.write_u64(upstream);
     extra(&mut h);
-    h.finish()
-}
-
-/// A named sub-artifact of a stage (stages store several artifacts of
-/// the same type — e.g. the reward and initial vectors — which would
-/// otherwise collide on one filename).
-pub(crate) fn sub_key(key: u64, name: &str) -> u64 {
-    let mut h = Fnv1a::new();
-    h.write_u64(key);
-    h.write_str(name);
     h.finish()
 }
 
@@ -627,7 +598,167 @@ impl Codec for DecomposableVector {
     }
 }
 
-/// The lump stage's statistics + exit-rate artifact: everything in a
+/// Decodes one part of a composite artifact and runs its structural
+/// check, as [`Artifact::from_bytes`] does for a whole artifact.
+fn decode_part<T: Codec>(r: &mut ByteReader<'_>) -> std::result::Result<T, StoreError> {
+    let part = T::decode(r)?;
+    part.validate()?;
+    Ok(part)
+}
+
+/// A stage's MRP as one artifact: the MD, the reachability MDD and the
+/// reward and initial vectors, back to back in one file.
+///
+/// A stage writes one file, not one per part, because creating a file
+/// costs a file-system inode allocation: on some hosts that takes as
+/// much kernel time as the rest of the write, and how much varies with
+/// where the store directory lies on disk.
+#[derive(Debug, Clone)]
+struct MrpArtifact {
+    md: Md,
+    reach: Mdd,
+    reward: DecomposableVector,
+    initial: DecomposableVector,
+}
+
+impl MrpArtifact {
+    /// The parts of `mrp`, or `None` when a vector holds a
+    /// [`Combiner::Custom`] (the closure is not serializable).
+    fn of(mrp: &MdMrp) -> Option<Self> {
+        let serializable = |v: &DecomposableVector| !matches!(v.combiner(), Combiner::Custom(_));
+        if !serializable(mrp.reward()) || !serializable(mrp.initial()) {
+            return None;
+        }
+        Some(MrpArtifact {
+            md: mrp.matrix().md().clone(),
+            reach: mrp.matrix().reach().clone(),
+            reward: mrp.reward().clone(),
+            initial: mrp.initial().clone(),
+        })
+    }
+
+    /// Reassembles the MRP. Parts that decode individually but fail
+    /// joint validation (e.g. a vector whose shape does not match the
+    /// MD) count as invalid and give `None`.
+    fn into_mrp(self) -> Option<MdMrp> {
+        let assembled = MdMatrix::new(self.md, self.reach)
+            .map_err(crate::CoreError::from)
+            .and_then(|matrix| MdMrp::new(matrix, self.reward, self.initial));
+        match assembled {
+            Ok(mrp) => Some(mrp),
+            Err(_) => {
+                mdl_obs::counter("store.invalid").inc();
+                None
+            }
+        }
+    }
+}
+
+impl Codec for MrpArtifact {
+    const KIND: u16 = 102;
+    const NAME: &'static str = "mrp";
+
+    fn encode(&self, w: &mut ByteWriter) {
+        self.md.encode(w);
+        self.reach.encode(w);
+        self.reward.encode(w);
+        self.initial.encode(w);
+    }
+
+    fn decode(r: &mut ByteReader<'_>) -> std::result::Result<Self, StoreError> {
+        Ok(MrpArtifact {
+            md: decode_part(r)?,
+            reach: decode_part(r)?,
+            reward: decode_part(r)?,
+            initial: decode_part(r)?,
+        })
+    }
+}
+
+/// The lump stage's artifact: the lumped MRP, one partition per level
+/// and the run's [`LumpMeta`], in one file.
+#[derive(Debug, Clone)]
+struct LumpArtifact {
+    mrp: MrpArtifact,
+    partitions: Vec<Partition>,
+    meta: LumpMeta,
+}
+
+impl Codec for LumpArtifact {
+    const KIND: u16 = 103;
+    const NAME: &'static str = "lump";
+
+    fn encode(&self, w: &mut ByteWriter) {
+        self.mrp.encode(w);
+        w.usize(self.partitions.len());
+        for p in &self.partitions {
+            p.encode(w);
+        }
+        self.meta.encode(w);
+    }
+
+    fn decode(r: &mut ByteReader<'_>) -> std::result::Result<Self, StoreError> {
+        let mrp = MrpArtifact::decode(r)?;
+        let levels = r.seq_len(8)?;
+        let partitions = (0..levels)
+            .map(|_| decode_part(r))
+            .collect::<std::result::Result<Vec<Partition>, _>>()?;
+        let meta = LumpMeta::decode(r)?;
+        if meta.stats.per_level.len() != partitions.len() {
+            return Err(StoreError::corrupted(format!(
+                "{} partitions for {} levels",
+                partitions.len(),
+                meta.stats.per_level.len()
+            )));
+        }
+        Ok(LumpArtifact {
+            mrp,
+            partitions,
+            meta,
+        })
+    }
+}
+
+/// The solve stage's artifact: the outcome and the [`RunReport`] of the
+/// run that produced it, in one file.
+#[derive(Debug, Clone)]
+struct SolveArtifact {
+    outcome: SolveOutcome,
+    report: RunReport,
+}
+
+impl Codec for SolveArtifact {
+    const KIND: u16 = 104;
+    const NAME: &'static str = "solved";
+
+    fn encode(&self, w: &mut ByteWriter) {
+        match &self.outcome {
+            SolveOutcome::Distribution(sol) => {
+                w.u8(0);
+                sol.encode(w);
+            }
+            SolveOutcome::Value(v) => {
+                w.u8(1);
+                w.f64(*v);
+            }
+        }
+        self.report.encode(w);
+    }
+
+    fn decode(r: &mut ByteReader<'_>) -> std::result::Result<Self, StoreError> {
+        let outcome = match r.u8()? {
+            0 => SolveOutcome::Distribution(decode_part::<Solution>(r)?),
+            1 => SolveOutcome::Value(r.f64()?),
+            t => return Err(StoreError::corrupted(format!("unknown outcome tag {t}"))),
+        };
+        Ok(SolveArtifact {
+            outcome,
+            report: decode_part(r)?,
+        })
+    }
+}
+
+/// The lump stage's statistics and exit rates: everything in a
 /// [`LumpResult`] that is not the MRP or the partitions.
 #[derive(Debug, Clone)]
 struct LumpMeta {
@@ -635,10 +766,7 @@ struct LumpMeta {
     exact_exit_rates: Option<Vec<f64>>,
 }
 
-impl Codec for LumpMeta {
-    const KIND: u16 = 101;
-    const NAME: &'static str = "lumpmeta";
-
+impl LumpMeta {
     fn encode(&self, w: &mut ByteWriter) {
         w.usize(self.stats.per_level.len());
         for l in &self.stats.per_level {
@@ -866,8 +994,8 @@ mod tests {
         let p = Pipeline::with_store(model_source_key("m"), store.clone());
         let built = p.build(build_mrp).unwrap();
 
-        // Flip a payload byte of the MD artifact.
-        let path = store.path_for::<Md>(built.key);
+        // Flip a payload byte of the MRP artifact.
+        let path = store.path_for::<MrpArtifact>(built.key);
         let mut bytes = std::fs::read(&path).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0xff;
@@ -907,7 +1035,7 @@ mod tests {
         let a = p.build(build_custom).unwrap();
         assert!(!a.cached);
         assert!(
-            !store.contains::<Md>(a.key),
+            !store.contains::<MrpArtifact>(a.key),
             "custom vectors must not persist"
         );
         let b = p.build(build_custom).unwrap();
@@ -988,7 +1116,7 @@ mod tests {
     }
 
     #[test]
-    fn lump_meta_artifact_round_trips() {
+    fn lump_artifact_round_trips() {
         let meta = LumpMeta {
             stats: LumpStats {
                 per_level: vec![LevelLumpStats {
@@ -1013,12 +1141,54 @@ mod tests {
             },
             exact_exit_rates: Some(vec![1.5, 2.5]),
         };
-        let back = LumpMeta::from_bytes(&meta.to_bytes()).unwrap();
-        assert_eq!(back.stats.per_level.len(), 1);
-        assert_eq!(back.stats.per_level[0].refinement.keys_emitted, 12);
-        assert_eq!(back.stats.lumped_states, 2);
-        assert_eq!(back.stats.rounds, 2);
-        assert_eq!(back.exact_exit_rates, Some(vec![1.5, 2.5]));
+        let mrp = MrpArtifact::of(&build_mrp().unwrap()).unwrap();
+        let partition = Partition::try_from_classes(vec![vec![0, 1], vec![2, 3, 4, 5]]).unwrap();
+        let artifact = LumpArtifact {
+            mrp: mrp.clone(),
+            partitions: vec![partition.clone()],
+            meta,
+        };
+        let back = LumpArtifact::from_bytes(&artifact.to_bytes()).unwrap();
+        assert_eq!(back.partitions, vec![partition.clone()]);
+        assert_eq!(back.mrp.to_bytes(), mrp.to_bytes());
+        let meta = back.meta;
+        assert_eq!(meta.stats.per_level.len(), 1);
+        assert_eq!(meta.stats.per_level[0].refinement.keys_emitted, 12);
+        assert_eq!(meta.stats.lumped_states, 2);
+        assert_eq!(meta.stats.rounds, 2);
+        assert_eq!(meta.exact_exit_rates, Some(vec![1.5, 2.5]));
+
+        // One partition per level, or the artifact is corrupt.
+        let mismatched = LumpArtifact {
+            partitions: vec![partition.clone(), partition],
+            ..artifact
+        };
+        assert!(LumpArtifact::from_bytes(&mismatched.to_bytes()).is_err());
+    }
+
+    #[test]
+    fn solve_artifact_round_trips_both_outcomes() {
+        let report = RunReport::default();
+        let value = SolveArtifact {
+            outcome: SolveOutcome::Value(2.5),
+            report: report.clone(),
+        };
+        let back = SolveArtifact::from_bytes(&value.to_bytes()).unwrap();
+        assert!(matches!(back.outcome, SolveOutcome::Value(v) if v == 2.5));
+        let dist = SolveArtifact {
+            outcome: SolveOutcome::Distribution(Solution {
+                probabilities: vec![0.25, 0.75],
+                stats: mdl_ctmc::SolveStats {
+                    iterations: 3,
+                    residual: 1e-9,
+                    elapsed: std::time::Duration::from_micros(5),
+                },
+            }),
+            report,
+        };
+        let back = SolveArtifact::from_bytes(&dist.to_bytes()).unwrap();
+        let sol = back.outcome.solution().unwrap();
+        assert_eq!(sol.probabilities, vec![0.25, 0.75]);
     }
 
     #[test]

@@ -45,60 +45,43 @@ impl Interner {
         idx
     }
 
+    /// Child slot `slot` of node `node` at `level`.
+    pub(crate) fn child(&self, level: usize, node: u32, slot: usize) -> u32 {
+        self.levels[level][node as usize][slot]
+    }
+
     /// Finalizes into an [`Mdd`] rooted at `root` (a level-0 node index):
     /// drops unreachable interned nodes, renumbers, and computes the count
     /// and offset labelling.
+    ///
+    /// Nodes are numbered per level in the order a depth-first walk from
+    /// the root, taking children in ascending local state, first completes
+    /// them — the order [`Mdd::from_sorted_unique_tuples`] interns them
+    /// in. A quasi-reduced MDD is canonical, so the same set yields
+    /// byte-identical child tables whatever order its nodes were interned
+    /// in (a fixpoint interns many dead intermediates, out of that order).
     pub(crate) fn finish(self, root: u32) -> Mdd {
         let num_levels = self.sizes.len();
-        // Mark reachable nodes level by level.
-        let mut keep: Vec<Vec<bool>> = self
+        // `order[l]` lists the kept interned indices of level `l` in their
+        // final order; `remap[l]` is its inverse (`NO_CHILD` = dropped).
+        let mut remap: Vec<Vec<u32>> = self
             .levels
             .iter()
-            .map(|nodes| vec![false; nodes.len()])
+            .map(|nodes| vec![NO_CHILD; nodes.len()])
             .collect();
+        let mut order: Vec<Vec<u32>> = vec![Vec::new(); num_levels];
         if !self.levels[0].is_empty() {
-            keep[0][root as usize] = true;
-            for l in 0..num_levels - 1 {
-                for (i, row) in self.levels[l].iter().enumerate() {
-                    if !keep[l][i] {
-                        continue;
-                    }
-                    for &c in row {
-                        if c != NO_CHILD {
-                            keep[l + 1][c as usize] = true;
-                        }
-                    }
-                }
-            }
+            self.number(0, root, &mut remap, &mut order);
         }
-        // Renumber.
-        let remap: Vec<Vec<u32>> = keep
-            .iter()
-            .map(|k| {
-                let mut map = vec![u32::MAX; k.len()];
-                let mut next = 0;
-                for (i, &kept) in k.iter().enumerate() {
-                    if kept {
-                        map[i] = next;
-                        next += 1;
-                    }
-                }
-                map
-            })
-            .collect();
 
         // Pack kept rows into the per-level flat child slabs, rewriting
         // references through the remap.
         let mut levels: Vec<MddLevel> = Vec::with_capacity(num_levels);
-        for l in 0..num_levels {
+        for (l, kept) in order.iter().enumerate() {
             let size = self.sizes[l];
-            let kept = keep[l].iter().filter(|&&k| k).count();
-            let mut flat: Vec<u32> = Vec::with_capacity(kept * size);
-            for (i, row) in self.levels[l].iter().enumerate() {
-                if !keep[l][i] {
-                    continue;
-                }
-                flat.extend(row.iter().map(|&c| {
+            let mut flat: Vec<u32> = Vec::with_capacity(kept.len() * size);
+            for &i in kept {
+                flat.extend(self.levels[l][i as usize].iter().map(|&c| {
                     if c == NO_CHILD || c == TERMINAL {
                         c
                     } else {
@@ -126,6 +109,22 @@ impl Interner {
             levels,
             total,
         }
+    }
+
+    /// Post-order numbering step of [`Interner::finish`].
+    fn number(&self, level: usize, node: u32, remap: &mut [Vec<u32>], order: &mut [Vec<u32>]) {
+        if remap[level][node as usize] != NO_CHILD {
+            return;
+        }
+        if level + 1 < self.sizes.len() {
+            for &c in &self.levels[level][node as usize] {
+                if c != NO_CHILD {
+                    self.number(level + 1, c, remap, order);
+                }
+            }
+        }
+        remap[level][node as usize] = order[level].len() as u32;
+        order[level].push(node);
     }
 }
 
@@ -187,7 +186,8 @@ impl Mdd {
 
     /// Builds from tuples already sorted lexicographically with no
     /// duplicates; components must be in range (checked only in debug
-    /// builds). This is the fast path used by state-space generators.
+    /// builds). [`Mdd::from_tuples`] sorts and deduplicates, then calls
+    /// this.
     pub fn from_sorted_unique_tuples(sizes: Vec<usize>, tuples: &[Vec<u32>]) -> Mdd {
         debug_assert!(
             tuples.windows(2).all(|w| w[0] < w[1]),
@@ -237,6 +237,22 @@ mod tests {
         let b = Mdd::from_sorted_unique_tuples(sizes, &tuples);
         assert_eq!(a.tuples(), b.tuples());
         assert_eq!(a.nodes_per_level(), b.nodes_per_level());
+    }
+
+    #[test]
+    fn nodes_numbered_depth_first_in_ascending_local_state() {
+        let t = TERMINAL;
+        let n = NO_CHILD;
+        let m = Mdd::from_tuples(vec![2, 2], vec![vec![1, 1], vec![0, 0]]).unwrap();
+        assert_eq!(m.raw_level_children(0), &[0, 1]);
+        assert_eq!(m.raw_level_children(1), &[t, n, n, t]);
+        // The same set built by a union, whose operands intern {1} first.
+        let a = Mdd::from_tuples(vec![2, 2], vec![vec![1, 1]]).unwrap();
+        let b = Mdd::from_tuples(vec![2, 2], vec![vec![0, 0]]).unwrap();
+        let u = a.union(&b).unwrap();
+        for l in 0..2 {
+            assert_eq!(u.raw_level_children(l), m.raw_level_children(l));
+        }
     }
 
     #[test]

@@ -15,7 +15,13 @@
 //!
 //! MDDs here are immutable after construction and quasi-reduced (no two
 //! equal nodes on a level), maintained by hash-consing during the
-//! bottom-up build.
+//! bottom-up build. Every constructor numbers nodes in one canonical
+//! depth-first order, so equal sets give byte-identical MDDs.
+//!
+//! [`Mdd::reachable`] computes the reachable set of an event-synchronized
+//! model symbolically: each event is a list of per-level
+//! [`LocalRelation`]s, and a chained breadth-first image fixpoint over the
+//! hash-consed nodes replaces explicit state enumeration.
 //!
 //! # Example
 //!
@@ -43,6 +49,8 @@ mod build;
 mod mdd;
 mod ops;
 mod quotient;
+mod reach;
 
 pub use mdd::{Mdd, MddError, MddNodeId, MddNodeRef};
 pub use quotient::QuotientError;
+pub use reach::LocalRelation;

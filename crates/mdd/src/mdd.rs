@@ -126,6 +126,12 @@ pub enum MddError {
     },
     /// An arena image could not be decoded into an MDD.
     Image(String),
+    /// Reachability found more tuples than the configured bound (see
+    /// [`Mdd::reachable`]).
+    TooManyStates {
+        /// The bound that was exceeded.
+        bound: u64,
+    },
 }
 
 impl fmt::Display for MddError {
@@ -148,6 +154,9 @@ impl fmt::Display for MddError {
                 )
             }
             MddError::Image(detail) => write!(f, "malformed MDD image: {detail}"),
+            MddError::TooManyStates { bound } => {
+                write!(f, "reachable set exceeds the bound of {bound} states")
+            }
         }
     }
 }
@@ -592,17 +601,19 @@ impl Mdd {
     /// borrow the mapped region zero-copy (falling back to copies on
     /// non-little-endian or misaligned layouts).
     ///
-    /// Child references are re-validated by a linear scan (a corrupt slot
-    /// would otherwise panic far from the cause); the count/offset
-    /// labelling is trusted — the store checksums the payload before
-    /// handing it here, and both labels are deterministic functions of the
-    /// children the writer computed with the same code.
+    /// One linear scan re-validates every child reference (a corrupt slot
+    /// would otherwise panic far from the cause) and checks the stored
+    /// count/offset labelling against the labelling the children imply.
+    /// A checksum only proves the payload is what the writer wrote; an
+    /// internally inconsistent labelling would silently give wrong state
+    /// indices, so it is rejected here.
     ///
     /// # Errors
     ///
-    /// [`MddError::Image`] on missing/mistyped sections or inconsistent
-    /// section lengths; [`MddError::InvalidChild`] /
-    /// [`MddError::InvalidShape`] as in [`Mdd::from_raw_levels`].
+    /// [`MddError::Image`] on missing/mistyped sections, inconsistent
+    /// section lengths, or an offset or count that disagrees with the
+    /// children; [`MddError::InvalidChild`] / [`MddError::InvalidShape`]
+    /// as in [`Mdd::from_raw_levels`].
     pub fn read_image(view: &ImageView<'_>, source: SlabSource<'_>) -> Result<Mdd, MddError> {
         let img = |e: mdl_arena::ArenaError| MddError::Image(e.to_string());
         let sizes_u64 = view.vec_u64(TAG_SIZES).map_err(img)?;
@@ -638,24 +649,42 @@ impl Mdd {
                 counts,
             });
         }
-        for level in 0..num_levels {
+        // Bottom-up, so each level's counts are verified before the level
+        // above sums them.
+        for level in (0..num_levels).rev() {
             let last = level == num_levels - 1;
             let size = sizes[level];
-            let next_count = if last {
-                0
-            } else {
-                levels[level + 1].num_nodes()
-            };
-            for (flat, &c) in levels[level].children.iter().enumerate() {
-                let ok = c == NO_CHILD
-                    || (last && c == TERMINAL)
-                    || (!last && c != TERMINAL && (c as usize) < next_count);
-                if !ok {
-                    return Err(MddError::InvalidChild {
-                        level,
-                        node: flat / size,
-                        slot: flat % size,
-                    });
+            let lower_counts: &[u64] = if last { &[] } else { &levels[level + 1].counts };
+            let lv = &levels[level];
+            let mut acc = 0u64;
+            for (flat, &c) in lv.children.iter().enumerate() {
+                let (node, slot) = (flat / size, flat % size);
+                if slot == 0 {
+                    acc = 0;
+                }
+                let below = if c == NO_CHILD {
+                    0
+                } else if last && c == TERMINAL {
+                    1
+                } else if !last && c != TERMINAL && (c as usize) < lower_counts.len() {
+                    lower_counts[c as usize]
+                } else {
+                    return Err(MddError::InvalidChild { level, node, slot });
+                };
+                if lv.offsets[flat] != acc {
+                    return Err(MddError::Image(format!(
+                        "level {level} node {node}: offset {} at slot {slot}, children imply {acc}",
+                        lv.offsets[flat]
+                    )));
+                }
+                acc = acc.checked_add(below).ok_or_else(|| {
+                    MddError::Image(format!("level {level} node {node}: count overflows"))
+                })?;
+                if slot == size - 1 && lv.counts[node] != acc {
+                    return Err(MddError::Image(format!(
+                        "level {level} node {node}: count {}, children imply {acc}",
+                        lv.counts[node]
+                    )));
                 }
             }
         }
@@ -796,6 +825,52 @@ mod tests {
             assert_eq!(&back.levels[l].offsets[..], &m.levels[l].offsets[..]);
             assert_eq!(&back.levels[l].counts[..], &m.levels[l].counts[..]);
         }
+    }
+
+    #[test]
+    fn image_with_inconsistent_labelling_is_rejected() {
+        let m = Mdd::from_tuples(vec![2, 3], vec![vec![0, 0], vec![0, 2], vec![1, 1]]).unwrap();
+        // Writes `m`'s image by hand, letting `tamper(level, offsets,
+        // counts)` edit the labelling first.
+        type Tamper<'a> = &'a dyn Fn(usize, &mut Vec<u64>, &mut Vec<u64>);
+        let image = |tamper: Tamper| {
+            let mut w = ImageWriter::new();
+            let sizes: Vec<u64> = m.sizes().iter().map(|&s| s as u64).collect();
+            w.put_u64(TAG_SIZES, &sizes);
+            for (l, lv) in m.levels.iter().enumerate() {
+                let mut offsets = lv.offsets.to_vec();
+                let mut counts = lv.counts.to_vec();
+                tamper(l, &mut offsets, &mut counts);
+                w.put_u32(level_tag(l), &lv.children);
+                w.put_u64(level_tag(l) + 1, &offsets);
+                w.put_u64(level_tag(l) + 2, &counts);
+            }
+            w.finish()
+        };
+        let read =
+            |payload: &[u8]| Mdd::read_image(&ImageView::parse(payload).unwrap(), SlabSource::Copy);
+        assert_eq!(read(&image(&|_, _, _| {})).unwrap().tuples(), m.tuples());
+        // Root offset at local state 1 claims 1 tuple before it; there are 2.
+        let err = read(&image(&|l, o, _| {
+            if l == 0 {
+                o[1] = 1;
+            }
+        }))
+        .unwrap_err();
+        assert!(
+            matches!(&err, MddError::Image(d) if d.contains("offset")),
+            "{err:?}"
+        );
+        let err = read(&image(&|l, _, c| {
+            if l == 1 {
+                c[0] += 1;
+            }
+        }))
+        .unwrap_err();
+        assert!(
+            matches!(&err, MddError::Image(d) if d.contains("count")),
+            "{err:?}"
+        );
     }
 
     #[test]

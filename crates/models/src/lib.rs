@@ -7,9 +7,9 @@
 //!   compositional formalism: one component per MD level, events with a
 //!   rate and one sparse factor per touched level. The composed
 //!   state-transition rate matrix is `R = Σ_e λ_e ⊗_i W_i^e`, generated as
-//!   a matrix diagram; the reachable state space is explored explicitly and
-//!   stored as an MDD (playing the role of the symbolic state-space
-//!   generator);
+//!   a matrix diagram; the reachable state space is computed symbolically
+//!   as an MDD image fixpoint (`mdl_mdd::Mdd::reachable`, the role of the
+//!   paper's symbolic state-space generator);
 //! * [`tandem`] — the paper's Section 5 evaluation model: a closed tandem
 //!   multi-processor system with a 3-server/4-queue MSMQ polling subsystem
 //!   and an 8-node hypercube subsystem with dispatching, load balancing,

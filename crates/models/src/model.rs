@@ -1,11 +1,19 @@
 //! The event-synchronized compositional formalism.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use mdl_core::{CoreError, DecomposableVector, MdMrp};
-use mdl_md::{KroneckerExpr, MdMatrix, SparseFactor};
-use mdl_mdd::Mdd;
+use mdl_md::{KroneckerExpr, Md, MdMatrix, SparseFactor};
+use mdl_mdd::{LocalRelation, Mdd, MddError};
+
+/// The successor relation of one factor: its nonzero entries.
+fn local_relation(f: &SparseFactor) -> LocalRelation {
+    let pairs = f
+        .iter()
+        .filter(|&(_, _, w)| w != 0.0)
+        .map(|(r, c, _)| (r, c));
+    LocalRelation::from_pairs(f.size(), pairs).expect("SparseFactor::push bounds-checks entries")
+}
 
 /// One component of a composed model — one level of the generated matrix
 /// diagram.
@@ -94,7 +102,7 @@ impl From<mdl_md::MdError> for ModelError {
 pub struct ComposedModel {
     components: Vec<Component>,
     events: Vec<Event>,
-    /// Safety bound for explicit reachability exploration.
+    /// Safety bound on the reachable state count.
     max_states: usize,
 }
 
@@ -252,108 +260,41 @@ impl ComposedModel {
         expr.aggregate()
     }
 
-    /// Explicit reachability exploration from the initial state, returning
-    /// the reachable set as an MDD (the role of the symbolic state-space
-    /// generator in the paper's toolchain).
+    /// The reachable state set from the initial state, as an MDD (the
+    /// role of the symbolic state-space generator in the paper's
+    /// toolchain): each event becomes per-level successor relations — the
+    /// nonzero entries of its factors — and [`Mdd::reachable`] runs the
+    /// symbolic image fixpoint over them.
     ///
     /// # Errors
     ///
-    /// [`ModelError::TooManyStates`] if the bound is exceeded.
+    /// [`ModelError::TooManyStates`] if the reachable set has more states
+    /// than the bound.
     pub fn reachable(&self) -> Result<Mdd, ModelError> {
-        let sizes = self.sizes();
-        let num_levels = sizes.len();
-
-        // Per event and level: factor rows grouped for O(1) successor lookup.
-        type RowMap = HashMap<u32, Vec<u32>>;
-        let event_rows: Vec<Vec<Option<RowMap>>> = self
+        let events: Vec<Vec<Option<LocalRelation>>> = self
             .events
             .iter()
             .map(|e| {
                 e.factors
                     .iter()
-                    .map(|f| {
-                        f.as_ref().map(|f| {
-                            let mut rows: RowMap = HashMap::new();
-                            for (r, c, v) in f.iter() {
-                                if v != 0.0 {
-                                    rows.entry(r).or_default().push(c);
-                                }
-                            }
-                            rows
-                        })
-                    })
+                    .map(|f| f.as_ref().map(local_relation))
                     .collect()
             })
             .collect();
-
-        // Mixed-radix packing for the visited set.
-        let mut radix = vec![1u128; num_levels];
-        for l in (0..num_levels.saturating_sub(1)).rev() {
-            radix[l] = radix[l + 1] * sizes[l + 1] as u128;
-        }
-        let pack = |s: &[u32]| -> u128 { s.iter().zip(&radix).map(|(&v, &r)| v as u128 * r).sum() };
-
-        let initial = self.initial_state();
-        let mut visited: HashMap<u128, ()> = HashMap::new();
-        visited.insert(pack(&initial), ());
-        let mut frontier: Vec<Vec<u32>> = vec![initial];
-        let mut all: Vec<Vec<u32>> = vec![frontier[0].clone()];
-
-        let mut options: Vec<Vec<u32>> = vec![Vec::new(); num_levels];
-        while let Some(state) = frontier.pop() {
-            for rows in &event_rows {
-                // Per-level successor options; an empty list disables the event.
-                let mut enabled = true;
-                for (l, rm) in rows.iter().enumerate() {
-                    options[l].clear();
-                    match rm {
-                        None => options[l].push(state[l]),
-                        Some(rm) => match rm.get(&state[l]) {
-                            Some(cols) => options[l].extend_from_slice(cols),
-                            None => {
-                                enabled = false;
-                                break;
-                            }
-                        },
-                    }
-                }
-                if !enabled {
-                    continue;
-                }
-                // Cross product of per-level options.
-                let mut next = vec![0u32; num_levels];
-                let mut idx = vec![0usize; num_levels];
-                'outer: loop {
-                    for l in 0..num_levels {
-                        next[l] = options[l][idx[l]];
-                    }
-                    let key = pack(&next);
-                    if let std::collections::hash_map::Entry::Vacant(e) = visited.entry(key) {
-                        e.insert(());
-                        if visited.len() > self.max_states {
-                            return Err(ModelError::TooManyStates {
-                                bound: self.max_states,
-                            });
-                        }
-                        frontier.push(next.clone());
-                        all.push(next.clone());
-                    }
-                    // Advance the mixed-radix option counter.
-                    for l in (0..num_levels).rev() {
-                        idx[l] += 1;
-                        if idx[l] < options[l].len() {
-                            continue 'outer;
-                        }
-                        idx[l] = 0;
-                    }
-                    break;
-                }
-            }
-        }
-
-        all.sort_unstable();
-        all.dedup();
-        Ok(Mdd::from_sorted_unique_tuples(sizes, &all))
+        Mdd::reachable(
+            self.sizes(),
+            &self.initial_state(),
+            &events,
+            self.max_states as u64,
+        )
+        .map_err(|e| match e {
+            MddError::TooManyStates { .. } => ModelError::TooManyStates {
+                bound: self.max_states,
+            },
+            other => ModelError::Malformed {
+                detail: other.to_string(),
+            },
+        })
     }
 
     /// Builds the symbolic MRP: matrix diagram from the aggregated
@@ -383,10 +324,9 @@ impl ComposedModel {
         reward: DecomposableVector,
         initial: DecomposableVector,
     ) -> Result<MdMrp, ModelError> {
-        let md = self.kronecker().to_md()?;
+        let md = self.build_md()?;
         let reach = self.reachable()?;
-        let matrix = MdMatrix::new(md, reach)?;
-        Ok(MdMrp::new(matrix, reward, initial)?)
+        self.build_mrp(md, reach, reward, initial)
     }
 
     /// [`ComposedModel::build_md_mrp`] with a precomputed reachability
@@ -407,7 +347,27 @@ impl ComposedModel {
         reach: Mdd,
     ) -> Result<MdMrp, ModelError> {
         let initial = DecomposableVector::point_mass(&self.sizes(), &self.initial_state())?;
-        let md = self.kronecker().to_md()?;
+        let md = self.build_md()?;
+        self.build_mrp(md, reach, reward, initial)
+    }
+
+    /// The matrix diagram of [`ComposedModel::kronecker`], in a `build.md`
+    /// span.
+    fn build_md(&self) -> Result<Md, ModelError> {
+        let _span = mdl_obs::span("build.md");
+        Ok(self.kronecker().to_md()?)
+    }
+
+    /// Pairs `md` with the reachable set and wraps the MRP, in a
+    /// `build.mrp` span.
+    fn build_mrp(
+        &self,
+        md: Md,
+        reach: Mdd,
+        reward: DecomposableVector,
+        initial: DecomposableVector,
+    ) -> Result<MdMrp, ModelError> {
+        let _span = mdl_obs::span("build.mrp");
         let matrix = MdMatrix::new(md, reach)?;
         Ok(MdMrp::new(matrix, reward, initial)?)
     }

@@ -196,6 +196,7 @@ impl Json {
 /// A message with the byte offset of the first problem.
 pub fn parse(s: &str) -> Result<Json, String> {
     let mut p = Parser {
+        src: s,
         bytes: s.as_bytes(),
         pos: 0,
     };
@@ -212,6 +213,8 @@ pub fn parse(s: &str) -> Result<Json, String> {
 const MAX_DEPTH: usize = 256;
 
 struct Parser<'a> {
+    /// The document; string runs are copied out of it as slices.
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -376,14 +379,16 @@ impl Parser<'_> {
                 }
                 b if b < 0x20 => return Err(format!("raw control byte at {}", self.pos - 1)),
                 _ => {
-                    // Multi-byte UTF-8: copy the whole char.
+                    // Copy the whole run up to the next quote, backslash or
+                    // control byte in one slice. Those cut points are ASCII,
+                    // so they always fall on character boundaries of `src`.
                     let start = self.pos - 1;
-                    let rest = &self.bytes[start..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| format!("invalid UTF-8 at byte {start}"))?;
-                    let c = s.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos = start + c.len_utf8();
+                    let end = self.bytes[start..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                        .map_or(self.bytes.len(), |n| start + n);
+                    out.push_str(&self.src[start..end]);
+                    self.pos = end;
                 }
             }
         }
@@ -524,6 +529,50 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "{bad:?} must be rejected");
         }
+    }
+
+    #[test]
+    fn parse_errors_report_byte_offsets() {
+        for (bad, msg) in [
+            ("", "unexpected end of input"),
+            ("{", "expected '\"' at byte 1"),
+            ("[1,]", "unexpected ']' at byte 3"),
+            ("{\"a\":}", "unexpected '}' at byte 5"),
+            ("{\"a\" 1}", "expected ':' at byte 5"),
+            ("nul", "invalid literal at byte 0"),
+            ("1 2", "trailing data at byte 2"),
+            ("\"\u{1}\"", "raw control byte at 1"),
+            ("{\"a\":1}x", "trailing data at byte 7"),
+            ("--1", "invalid number \"--1\" at byte 0"),
+            ("[1 2]", "expected ',' or ']' at byte 3"),
+            ("\"abc", "unterminated string"),
+            ("\"ab\\", "unterminated escape"),
+            ("\"a\\x\"", "invalid escape 'x' at byte 3"),
+            (r#""\ud83d\u0041""#, "invalid low surrogate"),
+            (r#""\u12""#, "truncated \\u escape"),
+            ("\"é\u{2}\"", "raw control byte at 3"),
+        ] {
+            assert_eq!(parse(bad), Err(msg.to_string()), "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn parse_long_mixed_string_in_linear_time() {
+        // About 1 MiB of plain ASCII, multi-byte characters, surrogate
+        // pairs and escapes; `expect` is the decoded text built alongside.
+        let mut doc = String::from("{\"k\":\"");
+        let mut expect = String::new();
+        while doc.len() < 1 << 20 {
+            doc.push_str("plain ascii, π–é 中文 ");
+            expect.push_str("plain ascii, π–é 中文 ");
+            doc.push_str(r#"\ud83d\ude00\u00e9\n\t\"\\\/"#);
+            expect.push_str("😀é\n\t\"\\/");
+            doc.push('😀');
+            expect.push('😀');
+        }
+        doc.push_str("\"}");
+        let v = parse(&doc).unwrap();
+        assert_eq!(v, Json::Obj(vec![("k".into(), Json::Str(expect))]));
     }
 
     #[test]

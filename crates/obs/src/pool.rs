@@ -189,6 +189,9 @@ mod tests {
 
     #[test]
     fn run_returns_results_in_job_order() {
+        // Serialized: a fan-out opens `pool.worker` spans whenever another
+        // test has profiling on, and they would land in its trace ring.
+        let _guard = crate::testing::guard();
         for threads in [1, 2, 4, 7] {
             let pool = ThreadPool::new(threads);
             let got = pool.run(23, |i| i * 10);
@@ -199,6 +202,9 @@ mod tests {
 
     #[test]
     fn run_borrows_from_caller() {
+        // Serialized: a fan-out opens `pool.worker` spans whenever another
+        // test has profiling on, and they would land in its trace ring.
+        let _guard = crate::testing::guard();
         let data: Vec<u64> = (0..100).collect();
         let pool = ThreadPool::new(4);
         let sums = pool.run(4, |c| {
@@ -210,6 +216,9 @@ mod tests {
 
     #[test]
     fn run_with_no_jobs_is_empty() {
+        // Serialized: a fan-out opens `pool.worker` spans whenever another
+        // test has profiling on, and they would land in its trace ring.
+        let _guard = crate::testing::guard();
         assert!(ThreadPool::new(4).run(0, |_| 0).is_empty());
     }
 
@@ -239,6 +248,9 @@ mod tests {
 
     #[test]
     fn worker_panic_propagates() {
+        // Serialized: a fan-out opens `pool.worker` spans whenever another
+        // test has profiling on, and they would land in its trace ring.
+        let _guard = crate::testing::guard();
         let pool = ThreadPool::new(2);
         let r = std::panic::catch_unwind(|| {
             pool.run(8, |j| {

@@ -170,6 +170,9 @@ impl Drop for Span {
 mod tests {
     #[test]
     fn finish_returns_nonzero_duration() {
+        // Serialized: while another test has profiling on, this span
+        // would land in its trace ring.
+        let _guard = crate::testing::guard();
         let span = crate::span("obs.test.span");
         std::hint::black_box(1 + 1);
         let d = span.finish();

@@ -2,7 +2,7 @@
 //! wrapped in per-request fault isolation.
 //!
 //! A worker owns nothing; everything warm is in [`Shared`] — the
-//! on-disk artifact store (crash-safe, advisory-locked) plus an
+//! on-disk artifact store (crash-safe, writes publish by rename) plus an
 //! in-memory cache of compiled kernels keyed by lump-stage content key,
 //! so concurrent requests for the same model share one compile.
 //!
@@ -35,8 +35,11 @@ use crate::admission::Job;
 use crate::protocol::{attempt_rows, ErrorKind, OkBody, Response, SolveParams};
 use crate::recover;
 
-/// How often checkpoint sinks snapshot long solves (iterations).
-const CHECKPOINT_EVERY: usize = 256;
+/// How often checkpoint sinks snapshot long solves (iterations). Each
+/// snapshot creates a store file, which can cost as much as a few hundred
+/// iterations of a small model's solve, so short solves take none; an
+/// interrupted solve still flushes a final snapshot.
+const CHECKPOINT_EVERY: usize = 2048;
 
 /// State shared by every worker: the artifact store and the in-memory
 /// kernel cache. Cheap to share behind one `Arc`.

@@ -49,9 +49,9 @@ pub trait Codec: Sized {
 
     /// File extension of stored containers of this kind. `"mdls"` for
     /// ordinary decode-on-load artifacts; arena-image kinds use
-    /// `"mdlm"`, which the store treats as *mappable* — their sidecar
-    /// lock/temp files get distinct names (`.maplock`, `.new.<pid>.<n>`)
-    /// so debris sweeping and mapping-safety rules can tell them apart.
+    /// `"mdlm"`, which the store treats as *mappable* — their temp
+    /// files get distinct names (`.new.<pid>.<n>`) so debris sweeping
+    /// and mapping-safety rules can tell them apart.
     const EXTENSION: &'static str = "mdls";
 
     /// Writes the payload (everything but the container frame).
